@@ -321,7 +321,7 @@ pub fn try_run(
 ) -> Result<std::result::Result<EngineReport, SpmdJobFailure>> {
     let opts = artifact.options();
     let compiled = artifact.compiled();
-    let ir = compiled.ir.clone();
+    let ir = &compiled.ir;
     // Hybrid ranks × threads: split the worker budget across the
     // logical ranks, at least one kernel thread each.
     let budget = req.workers.or(opts.workers).unwrap_or_else(|| {
@@ -343,9 +343,9 @@ pub fn try_run(
     if req.trace.is_some() {
         spmd.trace = req.trace.clone();
     }
-    let job = run_spmd_with(&req.machine, req.ranks, spmd, move |comm| {
+    let job = run_spmd_with(&req.machine, req.ranks, spmd, |comm| {
         let opts = exec_opts.clone();
-        let executor = Executor::new(&ir, comm, opts);
+        let executor = Executor::new(ir, comm, opts);
         let outcome = executor.run();
         match outcome {
             Ok(o) => {
@@ -359,23 +359,23 @@ pub fn try_run(
                 let finished_stats = comm.stats();
                 let finished_metrics = comm.take_metrics().map(|r| r.snapshot());
                 comm.suspend_tracing();
-                // Gather every matrix so rank 0 can report a
-                // machine-independent workspace. Iterate in sorted
-                // order: gathers are collectives, so every rank
-                // must visit variables in the same sequence.
+                // Gather every matrix to rank 0, which alone reports
+                // the machine-independent workspace; the other ranks
+                // return an empty one. Iterate in sorted order:
+                // gathers are collectives, so every rank must visit
+                // variables in the same sequence.
                 let mut names: Vec<&String> = o.workspace.keys().collect();
                 names.sort();
                 let mut ws: HashMap<String, Value> = HashMap::new();
                 for name in names {
-                    let val = &o.workspace[name];
-                    match val {
-                        XVal::S(v) => {
-                            ws.insert(name.clone(), Value::Scalar(*v));
-                        }
-                        XVal::M(m) => {
-                            let full = m.gather_all(comm)?;
-                            ws.insert(name.clone(), Value::Matrix(full).normalized());
-                        }
+                    let val = match &o.workspace[name] {
+                        XVal::S(v) => Some(Value::Scalar(*v)),
+                        XVal::M(m) => m
+                            .gather_to(comm, 0)?
+                            .map(|full| Value::Matrix(full).normalized()),
+                    };
+                    if comm.rank() == 0 {
+                        ws.insert(name.clone(), val.expect("rank 0 is the gather root"));
                     }
                 }
                 Ok(Ok((
@@ -454,8 +454,8 @@ pub fn try_run(
             }));
         }
     };
-    // All ranks computed the same workspace (and executed the same
-    // instruction sequence — SPMD); use rank 0's.
+    // All ranks executed the same instruction sequence (SPMD); rank 0
+    // alone holds the gathered workspace.
     let mut iter = results.into_iter();
     let first = iter.next().expect("at least one rank");
     let rank0 = first.value.map_err(OtterError::execution)?;

@@ -21,6 +21,9 @@ use otter_trace::EventKind;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 
+mod ew;
+use ew::EwProgram;
+
 /// Why one rank's execution stopped early: an application-level error
 /// (undefined variable, bad index — the same on every rank, SPMD) or a
 /// communication failure that must abort the whole job and reach the
@@ -394,42 +397,10 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// Compile an element-wise expression against an operand list:
-    /// scalar subtrees fold to constants once (the environment cannot
-    /// change mid-loop) and matrix leaves resolve to slice indices, so
-    /// the per-element loop does no name lookups or scalar re-evaluation.
-    /// `dst_alias` maps one matrix name to [`CEw::Dst`] — the buffer the
-    /// loop writes (in-place destination or fused product).
-    fn compile_ew(&self, e: &EwExpr, slices: &[String], dst_alias: Option<&str>) -> Result<CEw> {
-        Ok(match e {
-            EwExpr::Mat(m) => {
-                if Some(m.as_str()) == dst_alias {
-                    CEw::Dst
-                } else {
-                    CEw::Slice(
-                        slices
-                            .iter()
-                            .position(|n| n == m)
-                            .expect("every matrix operand is in the slice list"),
-                    )
-                }
-            }
-            EwExpr::Scalar(s) => CEw::Const(self.eval_s(s)?),
-            EwExpr::Neg(x) => CEw::Neg(Box::new(self.compile_ew(x, slices, dst_alias)?)),
-            EwExpr::Not(x) => CEw::Not(Box::new(self.compile_ew(x, slices, dst_alias)?)),
-            EwExpr::Bin(op, a, b) => CEw::Bin(
-                *op,
-                Box::new(self.compile_ew(a, slices, dst_alias)?),
-                Box::new(self.compile_ew(b, slices, dst_alias)?),
-            ),
-            EwExpr::Call(f, args) => {
-                let mut compiled = Vec::with_capacity(args.len());
-                for a in args {
-                    compiled.push(self.compile_ew(a, slices, dst_alias)?);
-                }
-                CEw::Call(*f, compiled)
-            }
-        })
+    /// Compile an element-wise expression against an operand list (see
+    /// [`EwProgram::compile`]); scalar leaves evaluate in this scope.
+    fn compile_ew(&self, e: &EwExpr, slices: &[String], dst: Option<&str>) -> Result<EwProgram> {
+        EwProgram::compile(e, slices, dst, &mut |s| self.eval_s(s))
     }
 
     fn exec_elemwise(&mut self, dst: &str, expr: &EwExpr) -> Result<()> {
@@ -439,8 +410,8 @@ impl<'a> Executor<'a> {
             .cloned()
             .ok_or_else(|| OtterError::execution("element-wise loop without matrix operands"))?;
         // Reuse the destination's buffer when it is already an aligned
-        // matrix: no allocation, and reads of the old value (`Dst`
-        // leaves) happen before the write of each element.
+        // matrix: no allocation, and reads of the old value happen
+        // before the write of each element.
         let inplace = {
             let model = env_mat(&self.scopes, &first)?;
             self.check_ew_alignment(&first, model, &ops[1..])?;
@@ -451,33 +422,22 @@ impl<'a> Executor<'a> {
         if inplace {
             let slice_names: Vec<String> =
                 ops.iter().filter(|n| n.as_str() != dst).cloned().collect();
-            let cew = self.compile_ew(expr, &slice_names, Some(dst))?;
+            let prog = self.compile_ew(expr, &slice_names, Some(dst))?;
             let Some(XVal::M(mut dmat)) = self.scopes.last_mut().unwrap().remove(dst) else {
                 unreachable!("checked matrix above")
             };
-            {
-                let scopes = &self.scopes;
-                let slices = collect_slices(scopes, &slice_names)?;
-                let buf = dmat.local_mut();
-                len = buf.len();
-                for k in 0..len {
-                    let v = ceval(&cew, &slices, buf, k);
-                    buf[k] = v;
-                }
-            }
+            let slices = collect_slices(&self.scopes, &slice_names)?;
+            let buf = dmat.local_mut();
+            len = buf.len();
+            prog.apply(&slices, buf);
             self.env().insert(dst.to_string(), XVal::M(dmat));
         } else {
-            let cew = self.compile_ew(expr, &ops, None)?;
-            let result = {
-                let model = env_mat(&self.scopes, &first)?;
-                let slices = collect_slices(&self.scopes, &ops)?;
-                len = model.local_els();
-                let mut out = vec![0.0; len];
-                for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = ceval(&cew, &slices, &[], k);
-                }
-                model.with_local(out)
-            };
+            let prog = self.compile_ew(expr, &ops, None)?;
+            let model = env_mat(&self.scopes, &first)?;
+            len = model.local_els();
+            let mut out = otter_rt::alloc::zeroed(len);
+            prog.apply(&collect_slices(&self.scopes, &ops)?, &mut out);
+            let result = model.with_local(out);
             self.env().insert(dst.to_string(), XVal::M(result));
         }
         self.comm.compute(len as f64 * expr.flop_weight().max(1.0));
@@ -497,56 +457,44 @@ impl<'a> Executor<'a> {
     ) -> Result<()> {
         let ops = self.ew_operands(expr, Some(tmp))?;
         self.check_ew_alignment(tmp, &prod, &ops)?;
-        let cew = self.compile_ew(expr, &ops, Some(tmp))?;
+        let prog = self.compile_ew(expr, &ops, Some(tmp))?;
         let len = prod.local_els();
-        {
-            let slices = collect_slices(&self.scopes, &ops)?;
-            let buf = prod.local_mut();
-            for k in 0..len {
-                let v = ceval(&cew, &slices, buf, k);
-                buf[k] = v;
-            }
-        }
+        prog.apply(&collect_slices(&self.scopes, &ops)?, prod.local_mut());
         self.comm.compute(len as f64 * expr.flop_weight().max(1.0));
         self.env().insert(dst.to_string(), XVal::M(prod));
         Ok(())
     }
 
-    /// Fused ElemWise → Reduce: evaluate the producer expression on the
-    /// fly and fold it per-element — no temporary matrix is materialized.
-    /// Charges mirror the eliminated `ElemWise` plus the exact fold and
-    /// allreduce of [`otter_rt`]'s reduction kernels.
+    /// Fused ElemWise → Reduce: evaluate the producer expression chunk
+    /// by chunk and fold it in ascending element order — no temporary
+    /// matrix is materialized. Charges mirror the eliminated `ElemWise`
+    /// plus the exact fold and allreduce of [`otter_rt`]'s reduction
+    /// kernels, whose neutral elements and fold order the folds here
+    /// repeat (`Iterator::sum` starts from `-0.0`).
     fn exec_fused_reduce(&mut self, op: RedOp, expr: &EwExpr) -> ExecResult<f64> {
         let ops = self.ew_operands(expr, None)?;
         let first = ops
             .first()
             .cloned()
             .ok_or_else(|| OtterError::execution("element-wise loop without matrix operands"))?;
-        {
-            let model = env_mat(&self.scopes, &first)?;
-            self.check_ew_alignment(&first, model, &ops[1..])?;
-        }
-        let cew = self.compile_ew(expr, &ops, None)?;
-        let (len, global_len, local) = {
-            let model = env_mat(&self.scopes, &first)?;
-            let len = model.local_els();
-            let slices = collect_slices(&self.scopes, &ops)?;
-            let each = |k: usize| ceval(&cew, &slices, &[], k);
-            let local = match op {
-                RedOp::SumAll | RedOp::MeanAll => (0..len).map(each).sum::<f64>(),
-                RedOp::MaxAll => (0..len).map(each).fold(f64::NEG_INFINITY, f64::max),
-                RedOp::MinAll => (0..len).map(each).fold(f64::INFINITY, f64::min),
-                RedOp::ProdAll => (0..len).map(each).product::<f64>(),
-                RedOp::Norm2 => (0..len).map(each).map(|x| x * x).sum::<f64>(),
-                RedOp::AnyAll | RedOp::AllAll | RedOp::Trapz => {
-                    return Err(OtterError::execution(format!(
-                        "reduction `{}` cannot be fused",
-                        op.c_name()
-                    ))
-                    .into())
-                }
-            };
-            (len, model.len(), local)
+        let model = env_mat(&self.scopes, &first)?;
+        self.check_ew_alignment(&first, model, &ops[1..])?;
+        let (len, global_len) = (model.local_els(), model.len());
+        let prog = self.compile_ew(expr, &ops, None)?;
+        let slices = collect_slices(&self.scopes, &ops)?;
+        let local = match op {
+            RedOp::SumAll | RedOp::MeanAll => prog.fold(&slices, len, -0.0, |a, x| a + x),
+            RedOp::MaxAll => prog.fold(&slices, len, f64::NEG_INFINITY, f64::max),
+            RedOp::MinAll => prog.fold(&slices, len, f64::INFINITY, f64::min),
+            RedOp::ProdAll => prog.fold(&slices, len, 1.0, |a, x| a * x),
+            RedOp::Norm2 => prog.fold(&slices, len, -0.0, |a, x| a + x * x),
+            RedOp::AnyAll | RedOp::AllAll | RedOp::Trapz => {
+                return Err(OtterError::execution(format!(
+                    "reduction `{}` cannot be fused",
+                    op.c_name()
+                ))
+                .into())
+            }
         };
         // The eliminated element-wise loop's charge...
         self.comm.compute(len as f64 * expr.flop_weight().max(1.0));
@@ -952,14 +900,15 @@ impl<'a> Executor<'a> {
                 if st == 0.0 {
                     return Err(OtterError::execution("for-loop step is zero").into());
                 }
-                let mut x = s;
-                while (st > 0.0 && x <= p) || (st < 0.0 && x >= p) {
-                    self.env().insert(var.clone(), XVal::S(x));
+                // The values of the range `s:st:p`, as the interpreter
+                // materializes them — not a running `x += st`, which
+                // drifts on fractional steps.
+                for k in 0..Dense::range_len(s, st, p) {
+                    self.env().insert(var.clone(), XVal::S(s + st * k as f64));
                     match self.exec_block(body)? {
                         Flow::Break => break,
                         Flow::Normal | Flow::Continue => {}
                     }
-                    x += st;
                 }
             }
             Instr::Free { name } => {
@@ -1099,35 +1048,6 @@ fn collect_slices<'e>(
         .iter()
         .map(|n| env_mat(scopes, n).map(DistMatrix::local))
         .collect()
-}
-
-/// One node of a compiled element-wise expression (see
-/// [`Executor::compile_ew`]).
-enum CEw {
-    /// Element `k` of operand slice `i`.
-    Slice(usize),
-    /// Element `k` of the destination buffer's previous contents.
-    Dst,
-    Const(f64),
-    Neg(Box<CEw>),
-    Not(Box<CEw>),
-    Bin(EwOp, Box<CEw>, Box<CEw>),
-    Call(SFun, Vec<CEw>),
-}
-
-fn ceval(e: &CEw, slices: &[&[f64]], dst: &[f64], k: usize) -> f64 {
-    match e {
-        CEw::Slice(i) => slices[*i][k],
-        CEw::Dst => dst[k],
-        CEw::Const(v) => *v,
-        CEw::Neg(x) => -ceval(x, slices, dst, k),
-        CEw::Not(x) => f64::from(ceval(x, slices, dst, k) == 0.0),
-        CEw::Bin(op, a, b) => op.eval(ceval(a, slices, dst, k), ceval(b, slices, dst, k)),
-        CEw::Call(f, args) => {
-            let vals: Vec<f64> = args.iter().map(|a| ceval(a, slices, dst, k)).collect();
-            f.eval(&vals)
-        }
-    }
 }
 
 /// Convert a linear (column-major) 0-based index into (row, col).

@@ -495,8 +495,15 @@ impl Comm {
         let mut blocked_at = Instant::now();
         let mut last_progress = self.job.progress();
         let result = loop {
-            if let Some(p) = self.mailboxes[self.rank].pop_or_wait(from, wait) {
-                break Ok(p);
+            if self.mailboxes[self.rank].wait_for(from, wait) {
+                // Leave the published wait *before* taking the packet,
+                // so a deadlock detector never sees this rank waiting
+                // on an edge whose packet it has already consumed (see
+                // `JobState::diagnose_deadlock`).
+                self.job.set_running(self.rank);
+                break Ok(self.mailboxes[self.rank]
+                    .try_pop(from)
+                    .expect("only a mailbox's owner takes packets from it"));
             }
             wait = (wait * 2).min(wait_cap);
             if let Some(v) = self.job.take_verdict(self.rank) {

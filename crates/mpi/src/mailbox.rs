@@ -66,28 +66,23 @@ impl Mailbox {
         pkt
     }
 
-    /// Take the next packet from `from`, parking on the mailbox
-    /// condvar for at most `timeout` if none is queued. Returns `None`
-    /// on timeout or when woken for a reason other than a matching
-    /// packet (a peer finishing, a verdict being posted) — the caller
-    /// re-checks the job state and calls again.
-    pub fn pop_or_wait(&self, from: usize, timeout: Duration) -> Option<Packet> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(q) = inner.get_mut(&from) {
-            if let Some(pkt) = q.pop_front() {
-                if q.is_empty() {
-                    inner.remove(&from);
-                }
-                return Some(pkt);
-            }
+    /// Whether a packet from `from` is queued, parking on the mailbox
+    /// condvar for at most `timeout` if none is. Returns `false` on
+    /// timeout or when woken for a reason other than a matching packet
+    /// (a peer finishing, a verdict being posted) — the caller
+    /// re-checks the job state and calls again. The packet stays
+    /// queued: the owner takes it with [`Mailbox::try_pop`] once it has
+    /// published that it is running again.
+    pub fn wait_for(&self, from: usize, timeout: Duration) -> bool {
+        let queued = |inner: &HashMap<usize, VecDeque<Packet>>| {
+            inner.get(&from).is_some_and(|q| !q.is_empty())
+        };
+        let inner = self.inner.lock().unwrap();
+        if queued(&inner) {
+            return true;
         }
-        let (mut inner, _timed_out) = self.cv.wait_timeout(inner, timeout).unwrap();
-        let q = inner.get_mut(&from)?;
-        let pkt = q.pop_front();
-        if q.is_empty() {
-            inner.remove(&from);
-        }
-        pkt
+        let (inner, _timed_out) = self.cv.wait_timeout(inner, timeout).unwrap();
+        queued(&inner)
     }
 
     /// Wake the owner without delivering anything, so a parked rank
@@ -131,13 +126,23 @@ mod tests {
     }
 
     #[test]
-    fn pop_or_wait_times_out_empty() {
+    fn wait_for_times_out_empty() {
         let mb = Mailbox::new();
-        assert!(mb.pop_or_wait(0, Duration::from_millis(1)).is_none());
+        assert!(!mb.wait_for(0, Duration::from_millis(1)));
     }
 
     #[test]
-    fn pop_or_wait_sees_a_concurrent_push() {
+    fn wait_for_leaves_the_packet_queued() {
+        let mb = Mailbox::new();
+        mb.push(2, pkt(5.0));
+        assert!(mb.wait_for(2, Duration::from_millis(1)));
+        assert!(mb.has_from(2), "waiting must not take the packet");
+        assert_eq!(mb.try_pop(2).unwrap().data, vec![5.0]);
+        assert!(!mb.wait_for(2, Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn wait_for_sees_a_concurrent_push() {
         let mb = Arc::new(Mailbox::new());
         let pusher = {
             let mb = Arc::clone(&mb);
@@ -149,13 +154,10 @@ mod tests {
         // Generous deadline; the push should land within the first
         // couple of waits.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let got = loop {
-            if let Some(p) = mb.pop_or_wait(3, Duration::from_millis(20)) {
-                break p;
-            }
+        while !mb.wait_for(3, Duration::from_millis(20)) {
             assert!(std::time::Instant::now() < deadline, "push never arrived");
-        };
-        assert_eq!(got.data, vec![7.0]);
+        }
+        assert_eq!(mb.try_pop(3).unwrap().data, vec![7.0]);
         pusher.join().unwrap();
     }
 
@@ -169,11 +171,11 @@ mod tests {
                 mb.notify();
             })
         };
-        // A long timeout cut short by notify still returns None —
+        // A long timeout cut short by notify still returns false —
         // the caller is expected to re-check job state.
         let t0 = std::time::Instant::now();
-        let got = mb.pop_or_wait(0, Duration::from_secs(30));
-        assert!(got.is_none());
+        let got = mb.wait_for(0, Duration::from_secs(30));
+        assert!(!got);
         assert!(t0.elapsed() < Duration::from_secs(10), "notify must wake");
         waker.join().unwrap();
     }

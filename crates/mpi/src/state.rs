@@ -176,6 +176,13 @@ impl JobState {
     /// its slot still reads `WaitingOn`, and that wait is
     /// satisfiable, not deadlocked. A cycle counts only if every
     /// member's awaited edge is empty at both ends of the window.
+    ///
+    /// The edges are read before the slots. A receiving rank publishes
+    /// `Running` before it takes its packet, so between the two reads
+    /// a member either still has the packet queued or has a new epoch;
+    /// read the other way round, a member that took its packet in
+    /// between would pass both checks, and the detector would sleep
+    /// out the window of a cycle that had already broken.
     pub fn diagnose_deadlock(
         &self,
         rank: usize,
@@ -190,11 +197,11 @@ impl JobState {
                 .all(|&(r, epoch, s)| self.load(r) == (epoch, RankState::WaitingOn(s)))
         };
         let awaited_edges_empty = || observed.iter().all(|&(r, _, s)| !pending(r, s));
-        if !still_observed() || !awaited_edges_empty() {
+        if !awaited_edges_empty() || !still_observed() {
             return None;
         }
         std::thread::sleep(confirm);
-        if !still_observed() || !awaited_edges_empty() {
+        if !awaited_edges_empty() || !still_observed() {
             return None;
         }
         // Canonicalize: start the cycle at its smallest member.
@@ -324,6 +331,29 @@ mod tests {
         mover.join().unwrap();
         assert!(verdict.is_none(), "a member that moved is not deadlocked");
         assert!(js.take_verdict(3).is_none(), "no verdict may be posted");
+    }
+
+    #[test]
+    fn member_that_takes_its_packet_mid_check_costs_no_window() {
+        // Rank 3 receives from 2 while the detector checks the cycle:
+        // it publishes `Running` and takes its packet between the
+        // detector's edge read and slot read. Edges first, the stale
+        // wait is caught at once instead of after the confirm window.
+        let js = JobState::new(4);
+        js.set_waiting(2, 3);
+        js.set_waiting(3, 2);
+        let t0 = std::time::Instant::now();
+        let verdict = js.diagnose_deadlock(2, 3, Duration::from_secs(5), |r, _| {
+            if r == 3 {
+                js.set_running(3);
+            }
+            false
+        });
+        assert!(verdict.is_none(), "the cycle broke");
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "a broken cycle must not sleep out the confirm window"
+        );
     }
 
     #[test]

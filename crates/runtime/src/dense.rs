@@ -10,11 +10,29 @@
 use std::fmt;
 
 /// Dense `rows × cols` matrix of doubles, row-major.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Dense {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+// Clone and Drop are written out so large buffers are recycled (see
+// `crate::alloc`).
+impl Clone for Dense {
+    fn clone(&self) -> Self {
+        Dense {
+            rows: self.rows,
+            cols: self.cols,
+            data: crate::alloc::copied(&self.data),
+        }
+    }
+}
+
+impl Drop for Dense {
+    fn drop(&mut self) {
+        crate::alloc::recycle(std::mem::take(&mut self.data));
+    }
 }
 
 impl Dense {
@@ -34,17 +52,15 @@ impl Dense {
         Dense {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: crate::alloc::zeroed(rows * cols),
         }
     }
 
     /// All-ones matrix.
     pub fn ones(rows: usize, cols: usize) -> Self {
-        Dense {
-            rows,
-            cols,
-            data: vec![1.0; rows * cols],
-        }
+        let mut data = crate::alloc::buffer(rows * cols);
+        data.resize(rows * cols, 1.0);
+        Dense { rows, cols, data }
     }
 
     /// Identity matrix.
@@ -58,28 +74,37 @@ impl Dense {
 
     /// Column vector from a slice.
     pub fn col_vector(v: &[f64]) -> Self {
-        Dense::from_vec(v.len(), 1, v.to_vec())
+        Dense::from_vec(v.len(), 1, crate::alloc::copied(v))
     }
 
     /// Row vector from a slice.
     pub fn row_vector(v: &[f64]) -> Self {
-        Dense::from_vec(1, v.len(), v.to_vec())
+        Dense::from_vec(1, v.len(), crate::alloc::copied(v))
     }
 
     /// MATLAB range `start:step:stop` as a row vector. An empty range
     /// (e.g. `1:0`) yields a 1×0 matrix, as MATLAB does.
     pub fn range(start: f64, step: f64, stop: f64) -> Self {
         assert!(step != 0.0, "range step must be nonzero");
-        let n = if (step > 0.0 && start > stop) || (step < 0.0 && start < stop) {
-            0
-        } else {
-            ((stop - start) / step).floor() as usize + 1
-        };
-        let data: Vec<f64> = (0..n).map(|i| start + step * i as f64).collect();
+        let n = Self::range_len(start, step, stop);
+        let mut data = crate::alloc::buffer(n);
+        data.extend((0..n).map(|i| start + step * i as f64));
         Dense {
             rows: 1,
             cols: n,
             data,
+        }
+    }
+
+    /// Element count of `start:step:stop` (`step` nonzero): the range
+    /// holds `start + k·step` for `k` in `0..range_len(..)`. Counted
+    /// `for` loops take their trip count from here too, so every engine
+    /// iterates the same values.
+    pub fn range_len(start: f64, step: f64, stop: f64) -> usize {
+        if (step > 0.0 && start > stop) || (step < 0.0 && start < stop) {
+            0
+        } else {
+            ((stop - start) / step).floor() as usize + 1
         }
     }
 
@@ -121,8 +146,8 @@ impl Dense {
     }
 
     /// Consume into the raw buffer.
-    pub fn into_data(self) -> Vec<f64> {
-        self.data
+    pub fn into_data(mut self) -> Vec<f64> {
+        std::mem::take(&mut self.data)
     }
 
     /// 0-based element access.
@@ -178,10 +203,12 @@ impl Dense {
 
     /// Apply `f` to every element, producing a new matrix.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Dense {
+        let mut data = crate::alloc::buffer(self.len());
+        data.extend(self.data.iter().map(|&x| f(x)));
         Dense {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data,
         }
     }
 
@@ -192,15 +219,12 @@ impl Dense {
             (other.rows, other.cols),
             "shape mismatch in element-wise op"
         );
+        let mut data = crate::alloc::buffer(self.len());
+        data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
         Dense {
             rows: self.rows,
             cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            data,
         }
     }
 
@@ -416,7 +440,7 @@ impl Dense {
             return self.clone();
         }
         let k = ((k % n) + n) % n;
-        let mut data = Vec::with_capacity(n as usize);
+        let mut data = crate::alloc::buffer(n as usize);
         for i in 0..n {
             data.push(self.data[((i - k + n) % n) as usize]);
         }
@@ -441,7 +465,8 @@ impl Dense {
     /// Vertical concatenation `[a; b]`.
     pub fn vcat(&self, other: &Dense) -> Dense {
         assert_eq!(self.cols, other.cols, "vcat column mismatch");
-        let mut data = self.data.clone();
+        let mut data = crate::alloc::buffer(self.len() + other.len());
+        data.extend_from_slice(&self.data);
         data.extend_from_slice(&other.data);
         Dense {
             rows: self.rows + other.rows,

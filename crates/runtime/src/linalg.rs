@@ -89,7 +89,7 @@ impl DistMatrix {
         let a_rows = Block::new(m, p);
         let b_rows = Block::new(kk, p);
         let my_rows = a_rows.count(rank);
-        let mut c_local = vec![0.0; my_rows * n];
+        let mut c_local = crate::alloc::zeroed(my_rows * n);
         let mut cur: Vec<f64> = other.local().to_vec();
         let mut cur_owner = rank;
         for step in 0..p {
@@ -139,7 +139,7 @@ impl DistMatrix {
         );
         let x_full = x.gather_all(comm)?.into_data();
         let w = self.cols();
-        let mut local = vec![0.0; self.local().len() / w.max(1)];
+        let mut local = crate::alloc::zeroed(self.local().len() / w.max(1));
         crate::kernels::matvec_into(&mut local, self.local(), w, &x_full);
         comm.compute(2.0 * local.len() as f64 * w as f64);
         comm.emit_span(
@@ -162,7 +162,7 @@ impl DistMatrix {
         let v_full = v.gather_all(comm)?.into_data();
         let rows = Block::new(m, comm.size());
         // u's element blocks coincide with the result's row blocks.
-        let mut local = vec![0.0; rows.count(comm.rank()) * n];
+        let mut local = crate::alloc::zeroed(rows.count(comm.rank()) * n);
         for (li, &uv) in u.local().iter().enumerate() {
             for (j, &vv) in v_full.iter().enumerate() {
                 local[li * n + j] = uv * vv;
@@ -195,7 +195,8 @@ impl DistMatrix {
         if self.is_vector() {
             // A vector transpose only flips orientation; both
             // orientations share the same element distribution.
-            return Ok(DistMatrix::from_local(comm, n, m, self.local().to_vec()));
+            let local = crate::alloc::copied(self.local());
+            return Ok(DistMatrix::from_local(comm, n, m, local));
         }
         let p = comm.size();
         let rank = comm.rank();
@@ -219,7 +220,7 @@ impl DistMatrix {
         // Assemble phase: my Aᵀ rows are A's columns dst_rows.range(rank);
         // each source rank contributes the element block for its rows.
         let my_cols = dst_rows.range(rank);
-        let mut local = vec![0.0; my_cols.len() * m];
+        let mut local = crate::alloc::zeroed(my_cols.len() * m);
         for s in 0..p {
             let their_rows = src_rows.range(s);
             let chunk: Vec<f64> = if s == rank {

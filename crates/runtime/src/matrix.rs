@@ -36,7 +36,8 @@ pub struct DistMatrix {
 
 // Clone and Drop are written out (not derived) so every local block
 // passes through the thread-local allocation accountant; the peak it
-// records is the `peak_temp_bytes` engine counter.
+// records is the `peak_temp_bytes` engine counter. Large blocks are
+// recycled (see `crate::alloc`).
 impl Clone for DistMatrix {
     fn clone(&self) -> Self {
         crate::alloc::note_alloc(self.local.len() * 8);
@@ -45,7 +46,7 @@ impl Clone for DistMatrix {
             cols: self.cols,
             p: self.p,
             rank: self.rank,
-            local: self.local.clone(),
+            local: crate::alloc::copied(&self.local),
         }
     }
 }
@@ -53,6 +54,7 @@ impl Clone for DistMatrix {
 impl Drop for DistMatrix {
     fn drop(&mut self) {
         crate::alloc::note_free(self.local.len() * 8);
+        crate::alloc::recycle(std::mem::take(&mut self.local));
     }
 }
 
@@ -140,7 +142,7 @@ impl DistMatrix {
             local: Vec::new(),
         };
         let n_local = m.block().count(comm.rank()) * m.item_width();
-        m.local = vec![0.0; n_local];
+        m.local = crate::alloc::zeroed(n_local);
         crate::alloc::note_alloc(n_local * 8);
         m
     }
@@ -240,7 +242,8 @@ impl DistMatrix {
         } else {
             Vec::new()
         };
-        m.local = comm.scatter(root, &parts)?;
+        let local = comm.scatter(root, &parts)?;
+        crate::alloc::recycle(std::mem::replace(&mut m.local, local));
         comm.emit_span(EventKind::Phase { name: "ML_scatter" }, t0);
         crate::note_rt_op(comm, "ML_scatter", t0);
         Ok(m)
@@ -251,10 +254,6 @@ impl DistMatrix {
     pub fn gather_all(&self, comm: &mut Comm) -> Result<Dense, CommError> {
         let t0 = comm.clock();
         let parts = comm.allgather(&self.local)?;
-        let mut data = Vec::with_capacity(self.len());
-        for p in parts {
-            data.extend_from_slice(&p);
-        }
         comm.emit_span(
             EventKind::Phase {
                 name: "ML_gather_all",
@@ -262,33 +261,38 @@ impl DistMatrix {
             t0,
         );
         crate::note_rt_op(comm, "ML_gather_all", t0);
-        Ok(if self.is_vector() && self.rows > 1 {
-            Dense::from_vec(self.rows, 1, data)
-        } else if self.is_vector() {
-            Dense::from_vec(1, self.cols, data)
-        } else {
-            Dense::from_vec(self.rows, self.cols, data)
-        })
+        Ok(self.assemble(parts))
     }
 
     /// Gather onto `root` only; others get `None`.
     pub fn gather_to(&self, comm: &mut Comm, root: usize) -> Result<Option<Dense>, CommError> {
         let t0 = comm.clock();
-        let parts = comm.gather(root, &self.local)?;
+        // On one rank the collective moves nothing: it gets an empty
+        // payload instead of a copy, and the block is copied once.
+        let alone = comm.size() == 1;
+        let parts = comm.gather(root, if alone { &[] } else { &self.local })?;
         comm.emit_span(EventKind::Phase { name: "ML_gather" }, t0);
         crate::note_rt_op(comm, "ML_gather", t0);
-        let Some(parts) = parts else { return Ok(None) };
-        let mut data = Vec::with_capacity(self.len());
-        for p in parts {
-            data.extend_from_slice(&p);
-        }
-        Ok(Some(if self.is_vector() && self.rows > 1 {
-            Dense::from_vec(self.rows, 1, data)
-        } else if self.is_vector() {
-            Dense::from_vec(1, self.cols, data)
-        } else {
-            Dense::from_vec(self.rows, self.cols, data)
+        Ok(parts.map(|parts| {
+            if alone {
+                Dense::from_vec(self.rows, self.cols, crate::alloc::copied(&self.local))
+            } else {
+                self.assemble(parts)
+            }
         }))
+    }
+
+    /// The full matrix from every rank's block, in rank order. Blocks
+    /// hold whole rows (matrices) or runs of elements (vectors), so
+    /// concatenated they are the row-major data, empty shapes included.
+    /// They are copied into a recycled buffer, so the gathered matrix
+    /// returns its block to the free list when dropped.
+    fn assemble(&self, parts: Vec<Vec<f64>>) -> Dense {
+        let mut data = crate::alloc::buffer(self.len());
+        for p in &parts {
+            data.extend_from_slice(p);
+        }
+        Dense::from_vec(self.rows, self.cols, data)
     }
 
     // ---- element access ------------------------------------------------------
@@ -574,5 +578,27 @@ mod tests {
         });
         let haves: Vec<bool> = res.iter().map(|r| r.value).collect();
         assert_eq!(haves, vec![false, false, true, false]);
+    }
+
+    #[test]
+    fn gathers_keep_empty_and_vector_shapes() {
+        // A 0×1 column once came back as a 1×1 shape over no data.
+        for (rows, cols) in [(0, 1), (1, 0), (0, 3), (5, 1), (1, 5), (3, 4)] {
+            let d = counting_dense(rows, cols);
+            for p in [1, 3] {
+                let want = d.clone();
+                let res = run_spmd(&meiko_cs2(), p, move |c| {
+                    let m = DistMatrix::from_replicated(c, &want);
+                    Ok((m.gather_all(c)?, m.gather_to(c, 0)?))
+                });
+                for r in res {
+                    let (all, root) = r.value;
+                    assert_eq!(all, d, "{rows}x{cols} p={p} gather_all");
+                    if r.rank == 0 {
+                        assert_eq!(root.as_ref(), Some(&d), "{rows}x{cols} p={p} gather_to");
+                    }
+                }
+            }
+        }
     }
 }

@@ -19,7 +19,8 @@ use otter_mpi::{Comm, CommError};
 impl DistMatrix {
     /// Element-wise unary map; charges `len · weight` flop units.
     pub fn map(&self, comm: &mut Comm, class: OpClass, f: impl Fn(f64) -> f64) -> DistMatrix {
-        let local: Vec<f64> = self.local().iter().map(|&x| f(x)).collect();
+        let mut local = crate::alloc::buffer(self.local_els());
+        local.extend(self.local().iter().map(|&x| f(x)));
         comm.compute(local.len() as f64 * class.weight());
         DistMatrix::from_local(comm, self.rows(), self.cols(), local)
     }
@@ -40,12 +41,13 @@ impl DistMatrix {
             other.rows(),
             other.cols()
         );
-        let local: Vec<f64> = self
-            .local()
-            .iter()
-            .zip(other.local())
-            .map(|(&a, &b)| f(a, b))
-            .collect();
+        let mut local = crate::alloc::buffer(self.local_els());
+        local.extend(
+            self.local()
+                .iter()
+                .zip(other.local())
+                .map(|(&a, &b)| f(a, b)),
+        );
         comm.compute(local.len() as f64 * class.weight());
         DistMatrix::from_local(comm, self.rows(), self.cols(), local)
     }
@@ -124,7 +126,7 @@ impl DistMatrix {
         // Receive phase: my output element with global index g comes
         // from (g - k) mod n; walk my block splitting by source owner,
         // in the same deterministic order the senders used.
-        let mut out = vec![0.0; self.local_els()];
+        let mut out = crate::alloc::zeroed(self.local_els());
         let mut expected: Vec<(usize, usize, usize)> = Vec::new();
         let mut lo = my.start;
         while lo < my.end {
@@ -183,7 +185,8 @@ impl DistMatrix {
         assert!(!self.is_vector(), "extract_col on a vector");
         assert!(j < self.cols(), "col {j} out of {}", self.cols());
         let w = self.cols();
-        let local: Vec<f64> = self.local().chunks_exact(w).map(|row| row[j]).collect();
+        let mut local = crate::alloc::buffer(self.local_els() / w.max(1));
+        local.extend(self.local().chunks_exact(w).map(|row| row[j]));
         comm.compute(local.len() as f64);
         DistMatrix::from_local(comm, self.rows(), 1, local)
     }
@@ -267,7 +270,7 @@ impl DistMatrix {
         }
         // Receive: my new elements [dst_b.range(rank)] come from the
         // owners of lo + that range in the old distribution.
-        let mut out = vec![0.0; dst_b.count(rank)];
+        let mut out = crate::alloc::zeroed(dst_b.count(rank));
         let my_new = dst_b.range(rank);
         let mut g = my_new.start;
         while g < my_new.end {
